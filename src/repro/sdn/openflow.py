@@ -40,12 +40,7 @@ class FlowMatch:
 
     def matches_packet(self, packet: Packet) -> bool:
         """True when the packet satisfies every non-wildcard field."""
-        if self.src_mac is not None and packet.src_mac != self.src_mac:
-            return False
-        if self.dst_mac is not None and packet.dst_mac != self.dst_mac:
-            return False
-        key = FlowKey.from_packet(packet)
-        return self._matches_key_fields(key)
+        return self.matches_flow(FlowKey.from_packet(packet), packet.src_mac, packet.dst_mac)
 
     def matches_flow(self, key: Optional[FlowKey], src_mac: Optional[MACAddress] = None,
                      dst_mac: Optional[MACAddress] = None) -> bool:
@@ -57,12 +52,9 @@ class FlowMatch:
         return self._matches_key_fields(key)
 
     def _matches_key_fields(self, key: Optional[FlowKey]) -> bool:
-        needs_ip_fields = any(
-            value is not None
-            for value in (self.src_ip, self.dst_ip, self.protocol, self.src_port, self.dst_port)
-        )
-        if key is None:
-            return not needs_ip_fields
+        if key is None:  # non-IP traffic satisfies only IP-wildcard matches
+            return (self.src_ip is None and self.dst_ip is None and self.protocol is None
+                    and self.src_port is None and self.dst_port is None)
         if self.src_ip is not None and key.src_ip != self.src_ip:
             return False
         if self.dst_ip is not None and key.dst_ip != self.dst_ip:

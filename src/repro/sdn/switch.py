@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
+from heapq import merge
 from typing import Callable, Optional
 
 from repro.exceptions import SdnError
 from repro.net.addresses import MACAddress
+from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.sdn.openflow import FlowAction, FlowRule
 
@@ -38,19 +41,29 @@ class ForwardingDecision:
         return self.action == FlowAction.DROP
 
 
+#: One flow-table entry: (-priority, -specificity, install sequence, rule).
+#: Sorting entries ascending ranks them the way the switch matches them.
+_Entry = tuple[int, int, int, FlowRule]
+
+
 @dataclass
 class OpenVSwitch:
     """A minimal Open vSwitch model: flow table, packet-in, statistics.
 
-    Packets are matched against the flow table in priority order (ties
-    broken by match specificity).  Misses are handed to the controller's
-    packet-in handler when one is registered, otherwise the
-    ``default_action`` applies.
+    Packets are matched against the flow table in priority order, ties
+    broken by match specificity and then by install order.  Misses are
+    handed to the controller's packet-in handler when one is registered,
+    otherwise the ``default_action`` applies.
+
+    The table is indexed by ``match.src_mac`` (the paper keys enforcement
+    rules on device MACs): one ranked bucket per source MAC plus the
+    ``None`` bucket of rules that wildcard it.  A lookup reads only the
+    packet's own bucket and the wildcard bucket; a cookie removal only the
+    buckets that hold the cookie.
     """
 
     name: str = "ovs-br0"
     default_action: FlowAction = FlowAction.FORWARD
-    rules: list[FlowRule] = field(default_factory=list)
     packet_in_handler: Optional[Callable[[Packet, "OpenVSwitch"], Optional[FlowAction]]] = None
 
     packets_processed: int = 0
@@ -58,29 +71,53 @@ class OpenVSwitch:
     packets_to_controller: int = 0
     port_of_device: dict[MACAddress, SwitchPort] = field(default_factory=dict)
 
+    _buckets: dict[Optional[MACAddress], list[_Entry]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _cookie_macs: dict[str, dict[Optional[MACAddress], None]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _installed: int = field(default=0, init=False, repr=False)
+
     # ------------------------------------------------------------------ #
     # Flow table management.
     # ------------------------------------------------------------------ #
     def install_rule(self, rule: FlowRule) -> None:
-        """Install a rule, keeping the table sorted by descending priority."""
-        self.rules.append(rule)
-        self.rules.sort(key=lambda entry: (entry.priority, entry.match.specificity), reverse=True)
+        """Install a rule into its source-MAC bucket, ranked on insertion."""
+        self._installed += 1
+        mac = rule.match.src_mac
+        insort(self._buckets.setdefault(mac, []),
+               (-rule.priority, -rule.match.specificity, self._installed, rule))
+        self._cookie_macs.setdefault(rule.cookie, {})[mac] = None
 
     def remove_rules(self, cookie: str) -> int:
         """Remove every rule carrying ``cookie``; returns the removal count."""
         if not cookie:
             raise SdnError("a non-empty cookie is required to remove rules")
-        before = len(self.rules)
-        self.rules = [rule for rule in self.rules if rule.cookie != cookie]
-        return before - len(self.rules)
+        removed = 0
+        for mac in self._cookie_macs.pop(cookie, ()):
+            bucket = self._buckets[mac]
+            kept = [entry for entry in bucket if entry[3].cookie != cookie]
+            removed += len(bucket) - len(kept)
+            if kept:
+                self._buckets[mac] = kept
+            else:
+                del self._buckets[mac]
+        return removed
 
     def flush(self) -> None:
         """Drop the entire flow table."""
-        self.rules.clear()
+        self._buckets.clear()
+        self._cookie_macs.clear()
+
+    @property
+    def rules(self) -> tuple[FlowRule, ...]:
+        """The whole table in match order (a read-only copy, for introspection)."""
+        return tuple(entry[3] for entry in merge(*self._buckets.values()))
 
     @property
     def rule_count(self) -> int:
-        return len(self.rules)
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     # ------------------------------------------------------------------ #
     # Port learning (which devices sit behind which interface).
@@ -95,11 +132,24 @@ class OpenVSwitch:
     # Datapath.
     # ------------------------------------------------------------------ #
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
-        """Find the highest-priority rule matching the packet, if any."""
-        for rule in self.rules:
-            if rule.match.matches_packet(packet):
-                return rule
-        return None
+        """Find the highest-ranked rule matching the packet, if any."""
+        own = self._buckets.get(packet.src_mac, ())
+        wildcard = self._buckets.get(None, ())
+        if not own and not wildcard:
+            return None
+        key = FlowKey.from_packet(packet)
+        src_mac, dst_mac = packet.src_mac, packet.dst_mac
+        best: Optional[_Entry] = None
+        for entry in own:
+            if entry[3].match.matches_flow(key, src_mac, dst_mac):
+                best = entry
+                break
+        for entry in wildcard:
+            if best is not None and entry > best:
+                break
+            if entry[3].match.matches_flow(key, src_mac, dst_mac):
+                return entry[3]
+        return best[3] if best is not None else None
 
     def process(self, packet: Packet, ingress_port: Optional[SwitchPort] = None) -> ForwardingDecision:
         """Process one packet: match, apply the action, update statistics."""

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Typed-core gate: run mypy over the packages that promise full annotations.
 
-The typed core is ``repro.net``, ``repro.obs`` and ``repro.fleet`` --
-the wire-format, evidence and fleet-coordination layers, where a type
-error means a corrupted artifact rather than a stack trace.  The
+The typed core is ``repro.net``, ``repro.obs``, ``repro.fleet`` and
+``repro.sdn`` -- the wire-format, evidence, fleet-coordination and
+flow-table layers, where a type error means a corrupted artifact or a
+wrong forwarding decision rather than a stack trace.  The
 ``[tool.mypy]`` table in ``pyproject.toml`` holds the per-module
 strictness; this script only picks the targets and normalises the exit.
 
@@ -35,6 +36,7 @@ TYPED_CORE = (
     "src/repro/net",
     "src/repro/obs",
     "src/repro/fleet",
+    "src/repro/sdn",
 )
 
 
