@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.distance.damerau_levenshtein import (
     GLOBAL_INTERNER,
-    normalized_damerau_levenshtein,
     normalized_distances,
     splitmix_subset,
 )
@@ -53,31 +52,6 @@ DETERMINISTIC_SELECTION = "deterministic"
 RANDOM_SELECTION = "random"
 
 _SELECTION_MODES = (DETERMINISTIC_SELECTION, RANDOM_SELECTION)
-
-#: The deterministic draw expands the selection seed with a self-contained
-#: splitmix64 + Fisher-Yates shuffle (the default): the drawn subset
-#: depends on nothing but the seed, so verdicts are stable across numpy
-#: versions.
-SPLITMIX_DRAW = "splitmix64"
-
-#: The retired numpy-backed draw (``default_rng(seed).choice``), kept so
-#: schema-v3 model bundles reproduce their historical verdict streams --
-#: ``Generator.choice`` internals may change between numpy releases.
-NUMPY_DRAW = "numpy"
-
-_DRAW_MODES = (SPLITMIX_DRAW, NUMPY_DRAW)
-
-#: Edit distances are computed by the vectorised batch kernel
-#: (:func:`~repro.distance.damerau_levenshtein.damerau_levenshtein_matrix`),
-#: one matrix op per fingerprint across all candidate references.
-BATCHED_KERNEL = "batched"
-
-#: Edit distances are computed by the scalar dynamic program, one
-#: reference pair at a time.  Kept as the reference oracle for the
-#: differential suite; results are bitwise-identical either way.
-SCALAR_KERNEL = "scalar"
-
-_KERNEL_MODES = (BATCHED_KERNEL, SCALAR_KERNEL)
 
 
 def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
@@ -181,27 +155,17 @@ class EditDistanceDiscriminator:
             from the fingerprint's content hash so the same fingerprint
             always meets the same references; ``"random"`` reproduces the
             paper's shared-generator draw (nondeterministic across calls,
-            kept for the ablation experiment).
-        draw: how the deterministic seed expands into a subset.
-            ``"splitmix64"`` (default) is the self-contained
-            splitmix64 + Fisher-Yates draw, stable across numpy versions;
-            ``"numpy"`` replays the retired ``Generator.choice`` draw and
-            is what schema-v3 bundles load with, so their historical
-            verdict streams survive the migration.  Ignored by
-            ``selection="random"``.
-        kernel: ``"batched"`` (default) computes edit distances through
-            the vectorised matrix kernel; ``"scalar"`` runs the per-pair
-            dynamic program (the differential oracle).  Results are
-            bitwise-identical; this is purely a performance knob and is
-            not persisted in model bundles.
+            kept for the ablation experiment).  The deterministic seed
+            expands into a subset through the self-contained splitmix64 +
+            Fisher-Yates draw
+            (:func:`~repro.distance.damerau_levenshtein.splitmix_subset`),
+            so verdicts are stable across numpy versions.
         rng: the shared generator used by ``"random"`` mode only; ignored
             (and left ``None``) in deterministic mode.
     """
 
     references_per_type: int = 5
     selection: str = DETERMINISTIC_SELECTION
-    draw: str = SPLITMIX_DRAW
-    kernel: str = BATCHED_KERNEL
     rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
@@ -210,14 +174,6 @@ class EditDistanceDiscriminator:
         if self.selection not in _SELECTION_MODES:
             raise IdentificationError(
                 f"selection must be one of {_SELECTION_MODES}, got {self.selection!r}"
-            )
-        if self.draw not in _DRAW_MODES:
-            raise IdentificationError(
-                f"draw must be one of {_DRAW_MODES}, got {self.draw!r}"
-            )
-        if self.kernel not in _KERNEL_MODES:
-            raise IdentificationError(
-                f"kernel must be one of {_KERNEL_MODES}, got {self.kernel!r}"
             )
         if self.selection == RANDOM_SELECTION and self.rng is None:
             # repro-lint: disable=no-unseeded-rng -- selection="random" is the paper's deliberately nondeterministic legacy mode; callers wanting replayable draws use the default deterministic selection
@@ -259,12 +215,7 @@ class EditDistanceDiscriminator:
             seed = selection_seed_from_key(
                 content_key, device_type, len(references), self.references_per_type, salt
             )
-            if self.draw == SPLITMIX_DRAW:
-                indices = splitmix_subset(seed, len(references), self.references_per_type)
-            else:
-                indices = np.random.default_rng(seed).choice(
-                    len(references), size=self.references_per_type, replace=False
-                )
+            indices = splitmix_subset(seed, len(references), self.references_per_type)
         chosen_indices = tuple(sorted(int(index) for index in indices))
         return [references[index] for index in chosen_indices], chosen_indices, seed
 
@@ -308,23 +259,11 @@ class EditDistanceDiscriminator:
     def _summed_distance(
         self, fingerprint: Fingerprint, chosen: Sequence[Fingerprint]
     ) -> float:
-        """Sum of normalised distances to ``chosen``, kernel-dispatched.
-
-        Both kernels accumulate the per-reference values in the same
-        (ascending-index) order with the same float additions, so the sum
-        is bitwise identical either way.
-        """
-        if self.kernel == BATCHED_KERNEL:
-            word = _encoded_word(fingerprint)
-            values = normalized_distances(
-                word, len(word), [_encoded_word(reference) for reference in chosen]
-            )
-        else:
-            word = fingerprint.as_symbol_sequence()
-            values = [
-                normalized_damerau_levenshtein(word, reference.as_symbol_sequence())
-                for reference in chosen
-            ]
+        """Sum of normalised distances to ``chosen``, in ascending-index order."""
+        word = _encoded_word(fingerprint)
+        values = normalized_distances(
+            word, len(word), [_encoded_word(reference) for reference in chosen]
+        )
         total = 0.0
         for value in values:
             total += value
@@ -352,18 +291,11 @@ class EditDistanceDiscriminator:
             if self.selection == DETERMINISTIC_SELECTION
             else None
         )
-        if self.kernel != BATCHED_KERNEL:
-            scores = sorted(
-                self.score_type(fingerprint, device_type, references, salt, content_key)
-                for device_type, references in candidates.items()
-            )
-            return scores[0].device_type, scores
-
-        # Batched kernel: draw every candidate's subset first, then score
-        # the fingerprint against the union of chosen references in ONE
-        # matrix-kernel invocation, and split the per-pair values back per
-        # type.  Per-type sums accumulate in the same ascending-index
-        # order as the scalar path, so every score is bitwise identical.
+        # Draw every candidate's subset first, then score the fingerprint
+        # against the union of chosen references in ONE matrix-kernel
+        # invocation, and split the per-pair values back per type.
+        # Per-type sums accumulate in ascending-index order, exactly as
+        # :meth:`score_type` does, so every score is bitwise identical.
         selections: list[tuple[str, list[Fingerprint], tuple[int, ...], Optional[int]]] = []
         for device_type, references in candidates.items():
             if not references:

@@ -23,19 +23,19 @@ Bundle layout (one zip archive written by :func:`numpy.savez_compressed`):
 
 Robustness guarantees:
 
-* loading a bundle with a different ``schema_version`` (or missing magic)
+* loading a bundle of any other ``schema_version`` (or missing magic)
   raises :class:`~repro.exceptions.ModelStoreError` instead of
-  misinterpreting bytes;
+  misinterpreting bytes -- so does an identifier bundle whose
+  discriminator ``draw`` is not ``"splitmix64"`` or whose bank recorded
+  no generator state;
 * every data array is checksummed; truncated or bit-flipped files fail
   loudly at load time, not at serve time;
-* verdict reproducibility is *structural*, not stateful: since schema v3
-  the discrimination stage selects its references deterministically from
+* verdict reproducibility is *structural*, not stateful: the
+  discrimination stage selects its references deterministically from
   each fingerprint's content hash (plus the persisted identifier
-  ``revision``), so a reloaded identifier returns bit-identical verdicts
-  with **no** generator state in the bundle.  Legacy v1/v2 bundles, which
-  captured the discriminator's rng state, still load -- the stored state
-  is discarded in favour of the deterministic draw (see
-  :func:`legacy_fallback_counts`);
+  ``revision``) through the splitmix64 draw, so a reloaded identifier
+  returns bit-identical verdicts with **no** discriminator generator
+  state in the bundle;
 * a bundle may be stamped with the cache-generation *epoch* it was saved
   under (see :mod:`repro.identification.lifecycle`); loading with
   ``expected_epoch`` rejects bundles from any other epoch, so a runtime
@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 import zipfile
 import zlib
 from pathlib import Path
@@ -56,7 +55,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.distance.discrimination import NUMPY_DRAW, EditDistanceDiscriminator
+from repro.distance.discrimination import RANDOM_SELECTION, EditDistanceDiscriminator
 from repro.exceptions import ModelError, ModelStoreError
 from repro.features.fingerprint import Fingerprint
 from repro.identification.classifier_bank import ClassifierBank, DeviceTypeClassifier
@@ -67,23 +66,13 @@ from repro.ml.compiled import CompiledForest
 #: Identifies a file as an IoT SENTINEL model bundle.
 STORE_MAGIC = "iot-sentinel-model-store"
 
-#: Bump on any incompatible change to the bundle layout.
-#: Version 2 added the optional cache-generation ``epoch`` stamp.
-#: Version 3 dropped the discriminator rng-state capture (reference
-#: selection is deterministic per fingerprint) and added the identifier
-#: ``revision`` (the discrimination draw salt) to the metadata.
-#: Version 4 records the discriminator's ``draw`` algorithm (the
-#: self-contained splitmix64 draw vs the legacy numpy ``Generator.choice``
-#: draw), so verdict streams survive numpy upgrades.
+#: The one bundle layout this build writes and reads.  Bump on any
+#: incompatible change; older bundles are rejected, not migrated.
 SCHEMA_VERSION = 4
 
-#: Versions this build can still read.  Version 1 bundles predate the
-#: epoch stamp (an additive change); they load with ``epoch=None``.
-#: Version 1/2 bundles carry a discriminator rng state that v3+ runtimes
-#: discard -- see :func:`legacy_fallback_counts`.  Version 3 bundles
-#: predate the ``draw`` field and load with the legacy numpy draw, so
-#: their historical verdict streams replay unchanged.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
+#: The reference draw every identifier bundle records
+#: (:func:`~repro.distance.damerau_levenshtein.splitmix_subset`).
+DRAW = "splitmix64"
 
 
 # --------------------------------------------------------------------- #
@@ -106,47 +95,13 @@ def _rng_state(rng: Optional[np.random.Generator]) -> Optional[dict]:
     return rng.bit_generator.state
 
 
-#: Lifetime counters of legacy-bundle loads that could not restore exact
-#: state and fell back to documented defaults.  Keys:
-#:
-#: * ``"bank_rng"`` -- the bundle recorded no bank generator state, so a
-#:   fresh *nondeterministic* generator was created.  Verdicts are
-#:   unaffected (serving never draws from the bank rng); future
-#:   ``train_type`` negative subsampling on the loaded bank is not
-#:   reproducible.
-#: * ``"discriminator_rng"`` -- either a v1/v2 bundle carried a captured
-#:   discriminator generator state that a deterministic-selection runtime
-#:   discarded (verdicts are reproducible but may *differ* from the
-#:   retired random-draw stream), or a ``selection="random"`` bundle was
-#:   missing its state and got a fresh nondeterministic generator.
-_LEGACY_FALLBACKS = {"bank_rng": 0, "discriminator_rng": 0}
-
-
-def legacy_fallback_counts() -> dict[str, int]:
-    """A snapshot of the legacy-bundle fallback counters (see above)."""
-    return dict(_LEGACY_FALLBACKS)
-
-
 def _restore_rng(state: Optional[dict], context: str = "bank") -> np.random.Generator:
-    """Restore a captured generator state, or *explicitly* fall back.
-
-    A ``None`` state historically returned a fresh nondeterministic
-    generator in silence; the fallback is now documented, warned about and
-    counted (``legacy_fallback_counts()[f"{context}_rng"]``) so an
-    operator auditing reproducibility can tell exactly which loads of
-    which subsystem degraded.
-    """
+    """Restore a captured generator state; a bundle without one is rejected."""
     if state is None:
-        _LEGACY_FALLBACKS[f"{context}_rng"] = _LEGACY_FALLBACKS.get(f"{context}_rng", 0) + 1
-        warnings.warn(
-            f"legacy model bundle recorded no {context} rng state; "
-            "falling back to a fresh nondeterministic generator "
-            f"(future draws from the {context} generator are not reproducible)",
-            RuntimeWarning,
-            stacklevel=3,
+        raise ModelStoreError(
+            f"model bundle recorded no {context} rng_state "
+            "(the schema-4 writer always records it)"
         )
-        # repro-lint: disable=no-unseeded-rng -- the documented, warned, counted legacy fallback: the bundle recorded no state, so no seed exists to restore
-        return np.random.default_rng()
     # repro-lint: disable=no-unseeded-rng -- seed irrelevant: the captured bit-generator state is installed on the next line
     rng = np.random.default_rng()
     rng.bit_generator.state = state
@@ -298,7 +253,7 @@ def _write_bundle(
 def _read_bundle(
     path: Union[str, Path],
     magic: str = STORE_MAGIC,
-    supported_versions: tuple[int, ...] = SUPPORTED_SCHEMA_VERSIONS,
+    schema_version: int = SCHEMA_VERSION,
     kind: str = "model bundle",
 ) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
@@ -317,10 +272,10 @@ def _read_bundle(
         raise ModelStoreError(f"{kind} metadata is not valid JSON: {path}") from exc
     if meta.get("magic") != magic:
         raise ModelStoreError(f"not an IoT SENTINEL {kind}: {path}")
-    if meta.get("schema_version") not in supported_versions:
+    if meta.get("schema_version") != schema_version:
         raise ModelStoreError(
             f"unsupported {kind} schema version {meta.get('schema_version')!r} "
-            f"(this build reads versions {supported_versions})"
+            f"(this build reads version {schema_version} only)"
         )
     recorded = meta.get("checksum")
     actual = _checksum(contents)
@@ -349,9 +304,9 @@ def _check_epoch(
         return
     recorded = meta.get("epoch")
     if recorded is None and expected_epoch == 0:
-        # Unstamped bundle (schema v1, or a plain save_identifier call)
-        # loaded by a runtime that has never learned a type: no staleness
-        # is possible yet, so the migration path stays open.
+        # Unstamped bundle (a plain save_identifier call) loaded by a
+        # runtime that has never learned a type: no staleness is possible
+        # yet.
         return
     if recorded != expected_epoch:
         raise ModelStoreError(
@@ -395,9 +350,6 @@ QUARANTINE_MAGIC = "iot-sentinel-quarantine-log"
 
 #: Bump on any incompatible change to the quarantine-log layout.
 QUARANTINE_SCHEMA_VERSION = 1
-
-#: Versions this build can still read.
-SUPPORTED_QUARANTINE_SCHEMA_VERSIONS = (1,)
 
 _QUARANTINE_KIND = "quarantine log"
 
@@ -462,7 +414,7 @@ def load_quarantine_records(
     meta, arrays = _read_bundle(
         path,
         magic=QUARANTINE_MAGIC,
-        supported_versions=SUPPORTED_QUARANTINE_SCHEMA_VERSIONS,
+        schema_version=QUARANTINE_SCHEMA_VERSION,
         kind=_QUARANTINE_KIND,
     )
     _check_epoch(meta, expected_epoch, path, kind=_QUARANTINE_KIND)
@@ -547,7 +499,7 @@ def save_identifier(
     configuration, the identifier ``revision`` (the salt of the
     deterministic reference draw) and the novelty threshold, so the
     reloaded identifier returns bit-identical verdicts -- with no
-    generator state in the bundle (schema v3) for the default
+    discriminator generator state in the bundle for the default
     deterministic selection.  An ablation identifier running the
     paper-style ``selection="random"`` draw *does* keep its generator
     state captured, so its (deliberately history-dependent) verdict
@@ -561,7 +513,7 @@ def save_identifier(
     discriminator_meta = {
         "references_per_type": identifier.discriminator.references_per_type,
         "selection": identifier.discriminator.selection,
-        "draw": identifier.discriminator.draw,
+        "draw": DRAW,
     }
     if not identifier.discriminator.is_deterministic:
         discriminator_meta["rng_state"] = _rng_state(identifier.discriminator.rng)
@@ -609,46 +561,25 @@ def load_identifier_with_epoch(
         bank = _rebuild_bank(meta["bank"], arrays)
         registry = _rebuild_registry(meta["registry"], arrays)
         discriminator_meta = meta["discriminator"]
-        selection = discriminator_meta.get("selection", "deterministic")
-        if selection == "random":
+        draw = discriminator_meta.get("draw")
+        if draw != DRAW:
+            raise ModelStoreError(
+                f"model bundle records discriminator draw {draw!r}; this build "
+                f"reads only {DRAW!r} draws: {path}"
+            )
+        selection = discriminator_meta["selection"]
+        rng = None
+        if selection == RANDOM_SELECTION:
             # An ablation identifier: the shared generator *is* the
-            # semantics, so its captured state is restored exactly (a
-            # random-mode bundle missing the state falls back loudly via
-            # _restore_rng's counted warning).
-            discriminator = EditDistanceDiscriminator(
-                references_per_type=discriminator_meta["references_per_type"],
-                selection=selection,
-                rng=_restore_rng(
-                    discriminator_meta.get("rng_state"), context="discriminator"
-                ),
-            )
-        else:
-            if discriminator_meta.get("rng_state") is not None:
-                # A v1/v2 bundle: the discriminator's generator state was
-                # captured to replay the old random reference draw.  The
-                # draw is deterministic per fingerprint now, so the state
-                # is discarded -- explicitly: the reloaded identifier's
-                # verdicts are reproducible but may differ from the
-                # retired random stream on borderline fingerprints.
-                _LEGACY_FALLBACKS["discriminator_rng"] += 1
-                warnings.warn(
-                    f"legacy model bundle (schema v{meta.get('schema_version')}) "
-                    "captured a discriminator rng state; discarding it in favour "
-                    "of the deterministic per-fingerprint reference draw",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            # Schema v3 and earlier predate the ``draw`` field: those
-            # bundles were trained under the numpy ``Generator.choice``
-            # reference draw, which stays pinned so their verdict
-            # streams replay byte-for-byte.
-            discriminator = EditDistanceDiscriminator(
-                references_per_type=discriminator_meta["references_per_type"],
-                selection=selection,
-                draw=discriminator_meta.get("draw", NUMPY_DRAW),
-            )
+            # semantics, so its captured state is restored exactly.
+            rng = _restore_rng(discriminator_meta.get("rng_state"), context="discriminator")
+        discriminator = EditDistanceDiscriminator(
+            references_per_type=discriminator_meta["references_per_type"],
+            selection=selection,
+            rng=rng,
+        )
         novelty_threshold = meta["novelty_threshold"]
-        revision = int(meta.get("revision", 0))
+        revision = int(meta["revision"])
     except (KeyError, TypeError, ModelError) as exc:
         raise ModelStoreError(f"model bundle is structurally invalid: {path}") from exc
     identifier = DeviceTypeIdentifier(

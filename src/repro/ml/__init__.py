@@ -2,12 +2,10 @@
 
 The paper trains one binary Random Forest classifier per device-type.  This
 subpackage provides a from-scratch implementation of CART decision trees,
-bootstrap-aggregated Random Forests, stratified k-fold cross-validation,
-common classification metrics and two simple baselines (Gaussian naive
-Bayes and k-nearest-neighbours) used for comparison experiments.
+bootstrap-aggregated Random Forests compiled to flat arrays for serving,
+stratified k-fold cross-validation and common classification metrics.
 """
 
-from repro.ml.baselines import GaussianNaiveBayes, KNeighborsClassifier, MajorityClassClassifier
 from repro.ml.compiled import CompiledForest, CompiledTree
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import (
@@ -27,9 +25,6 @@ __all__ = [
     "CompiledTree",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
-    "GaussianNaiveBayes",
-    "KNeighborsClassifier",
-    "MajorityClassClassifier",
     "accuracy_score",
     "confusion_matrix",
     "precision_score",

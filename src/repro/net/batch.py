@@ -399,48 +399,6 @@ class PacketBatch:
         for index in range(len(self)):
             yield self.packet(index)
 
-    def slice(self, start: int, stop: int) -> "PacketBatch":
-        """A zero-copy window ``[start, stop)`` (array views, list slices)."""
-        return PacketBatch(
-            timestamps=self.timestamps[start:stop],
-            src_macs=self.src_macs[start:stop],
-            flags=self.flags[start:stop],
-            src_ports=self.src_ports[start:stop],
-            dst_ports=self.dst_ports[start:stop],
-            sizes=self.sizes[start:stop],
-            dst_ips=self.dst_ips[start:stop],
-            packets=self.packets[start:stop] if self.packets is not None else None,
-            frames=self.frames[start:stop] if self.frames is not None else None,
-        )
-
-    def take(self, indices: np.ndarray, with_backing: bool = True) -> "PacketBatch":
-        """The sub-batch at ``indices`` (copies; order follows ``indices``).
-
-        ``with_backing=False`` drops the per-packet objects/frames -- the
-        shape worker processes want, so a shard dispatch pickles six flat
-        arrays and a string list instead of an object tree.
-        """
-        index_list = [int(i) for i in indices]
-        return PacketBatch(
-            timestamps=self.timestamps[indices],
-            src_macs=self.src_macs[indices],
-            flags=self.flags[indices],
-            src_ports=self.src_ports[indices],
-            dst_ports=self.dst_ports[indices],
-            sizes=self.sizes[indices],
-            dst_ips=[self.dst_ips[i] for i in index_list],
-            packets=(
-                [self.packets[i] for i in index_list]
-                if with_backing and self.packets is not None
-                else None
-            ),
-            frames=(
-                [self.frames[i] for i in index_list]
-                if with_backing and self.frames is not None
-                else None
-            ),
-        )
-
     def device_runs(self) -> list[tuple[int, np.ndarray]]:
         """Group packet indices by source MAC, in first-appearance order.
 

@@ -7,8 +7,7 @@ matrix the moment it arrives: one stateful
 :class:`~repro.features.packet_features.PacketFeatureExtractor` per device,
 consecutive-duplicate suppression done on the fly, and an emission decision
 per packet.  Devices are partitioned into ``hash(mac) % shards`` buckets so
-that idle-eviction sweeps touch one bucket at a time and the assembler can
-later be split across workers without re-keying.
+that idle-eviction sweeps touch one bucket at a time.
 
 A fingerprint is emitted when
 
@@ -298,17 +297,9 @@ class ShardedFingerprintAssembler:
         the pipeline splits batches at eviction boundaries so sweeps fire
         between the same two packets as on the per-packet path.
         """
-        return [ready for _, ready in self.observe_batch_indexed(batch)]
-
-    def observe_batch_indexed(
-        self, batch: PacketBatch
-    ) -> list[tuple[int, ReadyFingerprint]]:
-        """:meth:`observe_batch`, tagging each emission with the in-batch
-        index of its trigger packet (what shard workers merge on)."""
         if len(batch) == 0:
             return []
-        prepared = self.prepare_batch(batch)
-        return self.observe_prepared(prepared, len(batch))
+        return self.observe_prepared(self.prepare_batch(batch), len(batch))
 
     def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
         """Run the vectorised per-batch work once, ahead of observation.
@@ -378,7 +369,7 @@ class ShardedFingerprintAssembler:
 
     def observe_prepared(
         self, prepared: "_PreparedBatch", stop: int
-    ) -> list[tuple[int, ReadyFingerprint]]:
+    ) -> list[ReadyFingerprint]:
         """Fold every not-yet-observed packet before index ``stop`` in.
 
         Windows are consumed consecutively (each group keeps a cursor), so
@@ -501,8 +492,9 @@ class ShardedFingerprintAssembler:
                 device.absorb_chunk(matrix[pending])
             prepared.devices[group] = device
             group += 1
+        # Completed fingerprints come back ordered by trigger packet.
         emissions.sort(key=lambda pair: pair[0])
-        return emissions
+        return [ready for _, ready in emissions]
 
     # ------------------------------------------------------------------ #
     # Eviction and flushing.

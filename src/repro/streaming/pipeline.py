@@ -20,8 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-import numpy as np
-
 from repro.exceptions import SimulationError
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE, DeviceTypeIdentifier
@@ -258,11 +256,9 @@ class StreamingPipeline:
             return []
         self.stats.packets += n
         timestamps = batch.timestamps
-        # An assembler exposing the prepared-batch protocol (the in-process
-        # one) runs its vectorised per-batch work once here; otherwise
-        # (e.g. the multi-process facade) each window is a sliced batch.
-        prepare = getattr(self.assembler, "prepare_batch", None)
-        prepared = prepare(batch) if prepare is not None else None
+        # The vectorised per-batch work runs once; each window between two
+        # eviction sweeps then walks its slice of the prepared batch.
+        prepared = self.assembler.prepare_batch(batch)
         assemble_start = time.perf_counter()
         completed: list[ReadyFingerprint] = []
         position = 0
@@ -273,12 +269,7 @@ class StreamingPipeline:
             end_time = float(timestamps[stop - 1])
             if end_time > self.clock.now():
                 self.clock.advance(end_time - self.clock.now())
-            if prepared is not None:
-                completed.extend(
-                    ready for _, ready in self.assembler.observe_prepared(prepared, stop)
-                )
-            else:
-                completed.extend(self.assembler.observe_batch(batch.slice(position, stop)))
+            completed.extend(self.assembler.observe_prepared(prepared, stop))
             now = self.clock.now()
             if now >= self._next_eviction:
                 completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))

@@ -12,6 +12,8 @@ import pytest
 from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
+from repro.distance.damerau_levenshtein import normalized_damerau_levenshtein, splitmix_subset
+from repro.distance.discrimination import selection_seed
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.net.addresses import MACAddress
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
@@ -100,3 +102,35 @@ def make_udp_packet(
         ipv4=IPv4Header(src=src_ip, dst=dst_ip, protocol=PROTO_UDP),
         udp=UDPDatagram(src_port=src_port, dst_port=dst_port, payload=payload),
     )
+
+
+def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:
+    """Recompute every discrimination score of ``result`` with the scalar kernel.
+
+    Each score is re-summed from its ``reference_indices`` with the
+    per-pair dynamic program over ``registry.fingerprints_of(type)``, in
+    ascending-index order (the batched kernel's accumulation order), and
+    compared with ``==``: the check is bitwise.  Whenever a draw happened,
+    the seed must be the fingerprint's content-hash seed and the indices
+    exactly its splitmix64 subset.  Returns how many scores were checked.
+    """
+    word = fingerprint.as_symbol_sequence()
+    per_type = identifier.discriminator.references_per_type
+    for score in result.discrimination_scores:
+        pool = identifier.registry.fingerprints_of(score.device_type)
+        if score.selection_seed is None:
+            assert len(pool) <= per_type
+            assert score.reference_indices == tuple(range(len(pool)))
+        else:
+            assert score.selection_seed == selection_seed(
+                fingerprint, score.device_type, len(pool), per_type, salt=identifier.revision
+            )
+            assert score.reference_indices == splitmix_subset(
+                score.selection_seed, len(pool), per_type
+            )
+        total = 0.0
+        for index in score.reference_indices:
+            total += normalized_damerau_levenshtein(word, pool[index].as_symbol_sequence())
+        assert score.score == total
+        assert score.comparisons == len(score.reference_indices)
+    return len(result.discrimination_scores)

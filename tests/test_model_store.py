@@ -10,7 +10,6 @@ from repro.features.fingerprint import Fingerprint
 from repro.identification.model_store import (
     SCHEMA_VERSION,
     STORE_MAGIC,
-    legacy_fallback_counts,
     load_bank,
     load_identifier,
     save_bank,
@@ -111,65 +110,6 @@ class TestSchemaV3:
         assert meta["discriminator"]["draw"] == "splitmix64"
         assert meta["revision"] == trained_identifier.revision
 
-    def test_v3_bundle_without_draw_field_loads_with_numpy_draw(
-        self, trained_identifier, bundle_path, tmp_path
-    ):
-        """Schema-v3 bundles predate the draw field: their historical
-        numpy ``Generator.choice`` reference draw stays pinned on load."""
-        save_identifier(bundle_path, trained_identifier)
-        legacy = tmp_path / "v3.npz"
-
-        def downgrade(meta):
-            meta["schema_version"] = 3
-            meta["discriminator"].pop("draw")
-
-        rewrite_bundle(bundle_path, legacy, downgrade)
-        loaded = load_identifier(legacy)
-        assert loaded.discriminator.draw == "numpy"
-        assert loaded.discriminator.is_deterministic
-
-    def test_legacy_v2_bundle_loads_with_explicit_migration(
-        self, trained_identifier, bundle_path, tmp_path
-    ):
-        """A v1/v2 bundle's captured discriminator rng state is discarded
-        loudly (warning + counter), never silently."""
-        save_identifier(bundle_path, trained_identifier)
-        legacy = tmp_path / "legacy.npz"
-
-        def downgrade(meta):
-            meta["schema_version"] = 2
-            meta.pop("revision")
-            meta["discriminator"].pop("selection")
-            meta["discriminator"]["rng_state"] = np.random.default_rng(0).bit_generator.state
-
-        rewrite_bundle(bundle_path, legacy, downgrade)
-        before = legacy_fallback_counts()
-        with pytest.warns(RuntimeWarning, match="discriminator rng state"):
-            loaded = load_identifier(legacy)
-        after = legacy_fallback_counts()
-        assert after["discriminator_rng"] == before["discriminator_rng"] + 1
-        assert loaded.revision == 0
-        assert loaded.discriminator.is_deterministic
-        assert loaded.bank.device_types == trained_identifier.bank.device_types
-
-    def test_missing_bank_rng_state_falls_back_loudly(
-        self, trained_identifier, bundle_path, tmp_path
-    ):
-        """_restore_rng's None path: documented fallback, warned and counted."""
-        save_identifier(bundle_path, trained_identifier)
-        hollow = tmp_path / "no-bank-rng.npz"
-
-        def drop_bank_rng(meta):
-            meta["bank"]["rng_state"] = None
-
-        rewrite_bundle(bundle_path, hollow, drop_bank_rng)
-        before = legacy_fallback_counts()
-        with pytest.warns(RuntimeWarning, match="nondeterministic generator"):
-            loaded = load_identifier(hollow)
-        after = legacy_fallback_counts()
-        assert after["bank_rng"] == before["bank_rng"] + 1
-        assert loaded.bank.device_types == trained_identifier.bank.device_types
-
     def test_random_mode_identifier_keeps_its_generator_state(
         self, small_dataset, bundle_path
     ):
@@ -194,9 +134,7 @@ class TestSchemaV3:
         state_at_save = identifier.discriminator.rng.bit_generator.state
 
         save_identifier(bundle_path, identifier)
-        before = legacy_fallback_counts()
         loaded = load_identifier(bundle_path)
-        assert legacy_fallback_counts() == before  # exact restore, no fallback
         assert not loaded.discriminator.is_deterministic
         assert loaded.discriminator.rng.bit_generator.state == state_at_save
 
@@ -209,13 +147,11 @@ class TestSchemaV3:
 
     def test_fresh_v3_load_emits_no_fallback(self, trained_identifier, bundle_path):
         save_identifier(bundle_path, trained_identifier)
-        before = legacy_fallback_counts()
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             load_identifier(bundle_path)
-        assert legacy_fallback_counts() == before
 
 
 class TestBankRoundTrip:
@@ -237,6 +173,35 @@ class TestBankRoundTrip:
         for first, second in zip(original, restored):
             assert first.device_type == second.device_type
             assert np.array_equal(first.vectors, second.vectors)
+
+
+# Each rewrites a schema-4 bundle's meta into a shape older builds wrote.
+def _downgrade_v1(meta):
+    meta["schema_version"] = 1
+    for key in ("epoch", "revision"):
+        meta.pop(key)
+    meta["discriminator"].pop("selection")
+    meta["discriminator"].pop("draw")
+    meta["discriminator"]["rng_state"] = np.random.default_rng(0).bit_generator.state
+
+
+def _downgrade_v2(meta):
+    _downgrade_v1(meta)
+    meta["schema_version"] = 2
+    meta["epoch"] = None
+
+
+def _downgrade_v3(meta):
+    meta["schema_version"] = 3
+    meta["discriminator"].pop("draw")
+
+
+def _numpy_draw(meta):
+    meta["discriminator"]["draw"] = "numpy"
+
+
+def _drop_bank_rng(meta):
+    meta["bank"]["rng_state"] = None
 
 
 class TestRejection:
@@ -307,3 +272,24 @@ class TestRejection:
         garbage.write_bytes(b"this is not a zip archive at all")
         with pytest.raises(ModelStoreError, match="unreadable"):
             load_identifier(garbage)
+
+    @pytest.mark.parametrize(
+        ("mutate", "names"),
+        [
+            (_downgrade_v1, "schema version 1"),
+            (_downgrade_v2, "schema version 2"),
+            (_downgrade_v3, "schema version 3"),
+            (_numpy_draw, "draw 'numpy'"),
+            (_drop_bank_rng, "bank rng_state"),
+        ],
+        ids=["schema-v1", "schema-v2", "schema-v3", "numpy-draw", "no-bank-rng-state"],
+    )
+    def test_pre_v4_bundles_rejected(
+        self, trained_identifier, bundle_path, tmp_path, mutate, names
+    ):
+        """Only schema 4 with the splitmix64 draw and a recorded bank
+        generator loads; each older shape is refused by name."""
+        save_identifier(bundle_path, trained_identifier)
+        old = rewrite_bundle(bundle_path, tmp_path / "old.npz", mutate)
+        with pytest.raises(ModelStoreError, match=names):
+            load_identifier(old)
