@@ -12,6 +12,10 @@ with SHA-256 and compared against ``tests/golden/digests.json``:
 * ``bundle_meta`` -- the saved bundle's canonical ``meta`` JSON (the zip
   bytes carry mtimes; the JSON carries the array checksum).
 
+``scenario_manifest`` digests ``suite__seed-7.json``, the manifest of all
+five hostile campaigns (``python -m repro.scenarios --seed 7``), which
+carries the SHA-256 of every run's ledger, device table and report.
+
 ``run_until_idle`` drives the per-packet path; the ``batched_*`` digests
 repeat the run through ``StreamingPipeline.run_batched`` so the columnar
 path is pinned too.  A refactor must reproduce every digest unchanged.
@@ -38,6 +42,8 @@ from repro.identification.model_store import save_identifier
 from repro.net.addresses import MACAddress
 from repro.net.pcap import write_pcap
 from repro.obs.ledger import ledger_files
+from repro.scenarios import ScenarioSuite
+from repro.scenarios.campaigns import CAMPAIGNS
 from repro.simulation.clock import SimulatedClock
 from repro.streaming.pipeline import StreamingPipeline
 from repro.streaming.sources import PcapReplaySource, interleave_traces, replay_trace
@@ -62,6 +68,7 @@ JOIN_GAP_S = 2.0
 #: so their verdicts come from the cache.
 CLONE_DELAY_S = 120.0
 BATCH_SIZE = 64
+SCENARIO_SEED = 7
 
 
 def _canonical(payload) -> bytes:
@@ -149,6 +156,13 @@ def _onboard(bundle: Path, pcap: Path, workdir: Path, batched: bool):
     return delivered, ledger
 
 
+def _scenario_manifest(out_dir: Path) -> bytes:
+    """The suite manifest of every campaign, in the CLI's (sorted) order."""
+    suite = ScenarioSuite([CAMPAIGNS[name]() for name in sorted(CAMPAIGNS)])
+    suite.run(SCENARIO_SEED, out_dir)
+    return (out_dir / f"suite__seed-{SCENARIO_SEED}.json").read_bytes()
+
+
 def compute_digests(workdir: Path) -> tuple[dict, dict]:
     """The golden digests plus the facts the test asserts about the run."""
     dataset = DatasetBuilder(runs_per_type=TRAINING_RUNS, seed=4321).build_synthetic(
@@ -172,6 +186,7 @@ def compute_digests(workdir: Path) -> tuple[dict, dict]:
             _canonical([_verdict_row(item) for item in delivered])
         )
         facts["runs"][prefix or "scalar"] = delivered
+    digests["scenario_manifest"] = _sha256(_scenario_manifest(workdir / "scenarios"))
     return digests, facts
 
 
@@ -197,7 +212,14 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize(
         "name",
-        ["bundle_meta", "ledger", "verdicts", "batched_ledger", "batched_verdicts"],
+        [
+            "bundle_meta",
+            "ledger",
+            "verdicts",
+            "batched_ledger",
+            "batched_verdicts",
+            "scenario_manifest",
+        ],
     )
     def test_digest_unchanged(self, golden_run, name):
         digests, _ = golden_run
