@@ -303,13 +303,15 @@ class GatewayHandle:
         (assembler, dispatcher + cache, sink, clock, hub), so per-run
         stats start clean while caches stay hot -- the multi-run warm
         start the pipeline layer already supports, without the caller
-        re-wiring anything.
+        re-wiring anything.  The run takes the columnar datapath
+        (:meth:`StreamingPipeline.run_batched`), whose ledger is
+        byte-identical to the per-packet :meth:`StreamingPipeline.run`.
         """
-        return self._build_pipeline(self._resolve_source(source)).run()
+        return self._build_pipeline(self._resolve_source(source)).run_batched()
 
     def stream(self, source: Optional[PacketSource] = None) -> Iterator[IdentifiedDevice]:
         """Like :meth:`run_until_idle` but yielding verdicts as they happen."""
-        return self._build_pipeline(self._resolve_source(source)).results()
+        return self._build_pipeline(self._resolve_source(source)).results_batched()
 
     def identify(
         self,

@@ -128,6 +128,7 @@ class ClassifierBank:
 
     _classifiers: dict[str, DeviceTypeClassifier] = field(default_factory=dict)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
+    _stacked: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.random_state)
@@ -235,6 +236,9 @@ class ClassifierBank:
         """
         fixed_matrix = np.atleast_2d(np.asarray(fixed_matrix, dtype=np.float64))
         types = tuple(self.device_types)
+        stacked = self._stacked_forest(types)
+        if stacked is not None:
+            return self._score_stacked(stacked, types, fixed_matrix)
         positive = np.zeros((len(fixed_matrix), len(types)), dtype=np.float64)
         accepted = np.zeros((len(fixed_matrix), len(types)), dtype=bool)
         for column, device_type in enumerate(types):
@@ -249,6 +253,73 @@ class ClassifierBank:
             # the positive class (ties resolve to the lower label = reject).
             accepted[:, column] = np.argmax(probabilities, axis=1) == positive_column
         return BankScores(device_types=types, positive=positive, accepted=accepted)
+
+    def _stacked_forest(self, types: tuple[str, ...]) -> Optional[CompiledForest]:
+        """Every type's compiled forest merged into one, when they share a shape.
+
+        One descent of all ``(sample, type, tree)`` triples replaces a
+        forest call per type, whose fixed cost dominates small batches.
+        The merge is cached against the scorer objects themselves, so
+        training, replacing or removing a classifier rebuilds it.
+        """
+        if not types:
+            return None
+        scorers = tuple(self._classifiers[device_type].scorer for device_type in types)
+        if self._stacked is not None:
+            cached_scorers, cached = self._stacked
+            if len(cached_scorers) == len(scorers) and all(
+                old is new for old, new in zip(cached_scorers, scorers)
+            ):
+                return cached
+        first = scorers[0]
+        uniform = all(
+            isinstance(scorer, CompiledForest)
+            and scorer.n_estimators == first.n_estimators > 0
+            and scorer.n_features_ == first.n_features_
+            and np.array_equal(scorer.classes_, first.classes_)
+            for scorer in scorers
+        )
+        stacked = (
+            CompiledForest(
+                trees=tuple(tree for scorer in scorers for tree in scorer.trees),
+                classes_=first.classes_,
+                n_features_=first.n_features_,
+            )
+            if uniform
+            else None
+        )
+        self._stacked = (scorers, stacked)
+        return stacked
+
+    @staticmethod
+    def _score_stacked(
+        stacked: CompiledForest, types: tuple[str, ...], fixed_matrix: np.ndarray
+    ) -> BankScores:
+        """:meth:`score_batch` through the merged forest, bit for bit.
+
+        Each type's leaf probabilities are summed in tree order and divided
+        by its tree count, exactly as its own forest's ``predict_proba``.
+        """
+        trees = stacked.n_estimators // len(types)
+        leaves = stacked.leaves(fixed_matrix)
+        leaf_probabilities = stacked.leaf_probabilities
+        first_trees = np.arange(len(types)) * trees
+        accumulated = np.zeros(
+            (len(fixed_matrix), len(types), len(stacked.classes_)), dtype=np.float64
+        )
+        for tree in range(trees):
+            accumulated += leaf_probabilities[leaves[:, first_trees + tree]]
+        probabilities = accumulated / trees
+        positions = np.nonzero(np.asarray(stacked.classes_) == POSITIVE_LABEL)[0]
+        if not len(positions):
+            shape = (len(fixed_matrix), len(types))
+            return BankScores(types, np.zeros(shape), np.zeros(shape, dtype=bool))
+        positive_column = int(positions[0])
+        return BankScores(
+            device_types=types,
+            positive=np.ascontiguousarray(probabilities[:, :, positive_column]),
+            accepted=np.argmax(probabilities, axis=2) == positive_column,
+        )
 
     def score_fingerprints(self, fingerprints: Sequence[Fingerprint]) -> BankScores:
         """Batch-score fingerprints (fixed vectors are built here)."""

@@ -254,6 +254,18 @@ class CompiledForest:
         tree order, which keeps the floating-point summation -- and hence
         the result -- bitwise identical to the interpreted forest.
         """
+        positions = self.leaves(X)
+        accumulated = np.zeros((len(positions), len(self.classes_)), dtype=np.float64)
+        for column in range(len(self.trees)):
+            accumulated += self._probabilities[positions[:, column]]
+        return accumulated / len(self.trees)
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """The ``(samples, trees)`` global leaf row each descent ends at.
+
+        ``leaf_probabilities`` indexed by these rows gives each tree's
+        class-probability vector.
+        """
         if not self.trees:
             raise ModelError("compiled forest has no trees")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -261,8 +273,7 @@ class CompiledForest:
             raise ModelError(
                 f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
             )
-        samples = len(X)
-        positions = np.tile(self._roots, (samples, 1))
+        positions = np.tile(self._roots, (len(X), 1))
         rows, columns = np.nonzero(self._feature[positions] != LEAF)
         while rows.size:
             current = positions[rows, columns]
@@ -272,10 +283,12 @@ class CompiledForest:
             descending = self._feature[advanced] != LEAF
             rows = rows[descending]
             columns = columns[descending]
-        accumulated = np.zeros((samples, len(self.classes_)), dtype=np.float64)
-        for column in range(len(self.trees)):
-            accumulated += self._probabilities[positions[:, column]]
-        return accumulated / len(self.trees)
+        return positions
+
+    @property
+    def leaf_probabilities(self) -> np.ndarray:
+        """Every node's class probabilities, rows aligned with :meth:`leaves`."""
+        return self._probabilities
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted class labels (majority probability)."""

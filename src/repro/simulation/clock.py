@@ -30,6 +30,12 @@ class SimulatedClock:
         self.current_time += seconds
         return self.current_time
 
+    def advance_to(self, timestamp: float) -> float:
+        """Move the clock to exactly ``timestamp``; a no-op if it reads later."""
+        if timestamp > self.current_time:
+            self.current_time = timestamp
+        return self.current_time
+
     def advance_ms(self, milliseconds: float) -> float:
         """Move the clock forward by ``milliseconds`` and return the new time."""
         return self.advance(milliseconds / 1000.0)

@@ -25,6 +25,7 @@ A fingerprint is emitted when
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -299,7 +300,7 @@ class ShardedFingerprintAssembler:
         """
         if len(batch) == 0:
             return []
-        return self.observe_prepared(self.prepare_batch(batch), len(batch))
+        return [ready for _, ready in self.observe_prepared(self.prepare_batch(batch), len(batch))]
 
     def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
         """Run the vectorised per-batch work once, ahead of observation.
@@ -318,41 +319,42 @@ class ShardedFingerprintAssembler:
         groups = batch.device_runs()
         all_timestamps = batch.timestamps
         dst_ips = batch.dst_ips
-        min_idle = self.min_idle_seconds
+        # Every device's packets back to back, so one vectorised pass per
+        # batch covers all devices; ``starts`` marks where each begins.
+        order = np.concatenate([indices for _, indices in groups] + [np.zeros(0, np.int64)])
+        counts = [len(indices) for _, indices in groups]
+        starts = np.cumsum([0] + counts, dtype=np.int64)[:-1]
+        # Consecutive-packet static equality: the counter column is still
+        # zero everywhere, so this compares the 22 stateless features; the
+        # destination-token comparison below supplies the counter column's
+        # verdict (equal counters iff equal tokens under one extractor).
+        rows = matrix[order]
+        equal_prev = np.zeros(len(order), dtype=bool)
+        np.all(rows[1:] == rows[:-1], axis=1, out=equal_prev[1:])
+        equal_prev[starts] = False
+        # Positions whose inter-packet gap can possibly trip the idle rule.
+        # A device's first position has its predecessor (if any) in an
+        # earlier batch, so the walk always runs the full check there.
+        gap_big = np.ones(len(order), dtype=bool)
+        np.greater(np.diff(all_timestamps[order]), self.min_idle_seconds, out=gap_big[1:])
+        gap_big[starts] = True
+        # Plain Python lists for the walk: indexing numpy scalars out of an
+        # int64 array costs more than the whole per-packet body.
+        order_list = order.tolist()
+        duplicate = equal_prev.tolist()
+        for position in np.flatnonzero(equal_prev).tolist():
+            if dst_ips[order_list[position]] != dst_ips[order_list[position - 1]]:
+                duplicate[position] = False
+        gap_list = gap_big.tolist()
         duplicate_by_group = []
         gap_big_by_group = []
         prepared_groups = []
-        for mac_value, indices in groups:
-            rows = matrix[indices]
-            count = len(indices)
-            # Consecutive-packet static equality, vectorised per device:
-            # the counter column is still zero everywhere, so this compares
-            # the 22 stateless features; the destination-token comparison
-            # below supplies the counter column's verdict (equal counters
-            # iff equal tokens under one extractor).
-            equal_prev = np.empty(count, dtype=bool)
-            equal_prev[0] = False
-            if count > 1:
-                np.all(rows[1:] == rows[:-1], axis=1, out=equal_prev[1:])
-            # Plain Python lists for the walk: indexing numpy scalars out
-            # of an int64 array costs more than the whole per-packet body.
-            indices_list = indices.tolist()
-            tokens = [dst_ips[j] for j in indices_list]
-            duplicate = equal_prev.tolist()
-            for position, equal in enumerate(duplicate):
-                if equal and tokens[position] != tokens[position - 1]:
-                    duplicate[position] = False
-            # Positions whose inter-packet gap can possibly trip the idle
-            # rule.  Position 0's predecessor (if any) lies in an earlier
-            # batch, so the walk always runs the full check there.
-            gap_big = np.empty(count, dtype=bool)
-            gap_big[0] = True
-            if count > 1:
-                group_times = all_timestamps[indices]
-                np.greater(np.diff(group_times), min_idle, out=gap_big[1:])
-            gap_big_by_group.append(gap_big.tolist())
-            duplicate_by_group.append(duplicate)
-            prepared_groups.append((MACAddress(mac_value), indices, indices_list))
+        for (mac_value, _), start, count in zip(groups, starts.tolist(), counts):
+            stop = start + count
+            mac = MACAddress(mac_value)
+            duplicate_by_group.append(duplicate[start:stop])
+            gap_big_by_group.append(gap_list[start:stop])
+            prepared_groups.append((mac, order_list[start:stop], self._bucket(mac)))
         # Python floats, not np.float64 scalars: list indexing is faster in
         # the per-device walk and the gap/completed_at values come out
         # type-identical to the per-packet path.
@@ -369,8 +371,12 @@ class ShardedFingerprintAssembler:
 
     def observe_prepared(
         self, prepared: "_PreparedBatch", stop: int
-    ) -> list[ReadyFingerprint]:
+    ) -> list[tuple[int, ReadyFingerprint]]:
         """Fold every not-yet-observed packet before index ``stop`` in.
+
+        Returns ``(j, fingerprint)`` pairs ordered by ``j``, the batch
+        index of the packet whose :meth:`observe` would have returned that
+        fingerprint; the pipeline replays dispatch at those packets.
 
         Windows are consumed consecutively (each group keeps a cursor), so
         calling with increasing ``stop`` values walks the batch exactly
@@ -390,7 +396,7 @@ class ShardedFingerprintAssembler:
         groups = prepared.groups
         group = prepared.first_group
         while group < len(groups):
-            mac, indices, indices_list = groups[group]
+            mac, indices_list, bucket = groups[group]
             cursor = prepared.cursors[group]
             if cursor >= len(indices_list):
                 # Exhausted; a contiguous exhausted prefix is skipped for
@@ -406,10 +412,9 @@ class ShardedFingerprintAssembler:
                     break
                 group += 1
                 continue
-            end = int(indices.searchsorted(stop, side="left"))
+            end = bisect_left(indices_list, stop, cursor)
             prepared.cursors[group] = end
             self.stats.packets_observed += end - cursor
-            bucket = self._bucket(mac)
             duplicate_flags = prepared.duplicate_by_group[group]
             gap_big = prepared.gap_big_by_group[group]
             pending: list[int] = []
@@ -494,7 +499,7 @@ class ShardedFingerprintAssembler:
             group += 1
         # Completed fingerprints come back ordered by trigger packet.
         emissions.sort(key=lambda pair: pair[0])
-        return [ready for _, ready in emissions]
+        return emissions
 
     # ------------------------------------------------------------------ #
     # Eviction and flushing.

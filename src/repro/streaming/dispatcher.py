@@ -277,11 +277,24 @@ class BatchDispatcher:
         slow trickle of devices -- or a DROP-policy queue smaller than
         ``max_batch`` -- from waiting for end-of-stream :meth:`drain`.
         """
-        oldest = self.queue.peek()
-        if oldest is None or now - oldest[0].completed_at < self.max_linger:
+        if not self.linger_due(now):
             return []
         self.stats.linger_flushes += 1
         return self._run_batch()
+
+    def linger_due(self, now: float) -> bool:
+        """Whether :meth:`poll` at stream time ``now`` flushes a batch."""
+        oldest = self.queue.peek()
+        return oldest is not None and now - oldest[0].completed_at >= self.max_linger
+
+    def linger_deadline(self) -> Optional[float]:
+        """About when :meth:`poll` flushes next (``None``: queue empty).
+
+        ``completed_at + max_linger`` rounds, so this only narrows the
+        search; :meth:`linger_due` decides.
+        """
+        oldest = self.queue.peek()
+        return None if oldest is None else oldest[0].completed_at + self.max_linger
 
     def drain(self) -> list[IdentifiedDevice]:
         """Identify everything still queued (end of stream)."""

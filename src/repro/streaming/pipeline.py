@@ -1,8 +1,10 @@
 """The streaming identification pipeline: source -> assembler -> dispatcher.
 
 This is the online counterpart of the offline evaluation loop: packets are
-consumed one at a time, folded into per-device fingerprints, identified in
-batches, and the verdicts are pushed to a callback -- typically a
+consumed one at a time (:meth:`StreamingPipeline.run`, the reference) or as
+columnar batches (:meth:`StreamingPipeline.run_batched`, the served path,
+with the same deliveries), folded into per-device fingerprints, identified
+in batches, and the verdicts are pushed to a callback -- typically a
 :class:`GatewayEnforcementSink` that turns each identification into an
 enforcement rule on a :class:`~repro.gateway.security_gateway.SecurityGateway`.
 
@@ -19,6 +21,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
+
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.gateway.security_gateway import SecurityGateway
@@ -59,6 +63,7 @@ class PipelineStats:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_seconds: float = 0.0
+    parse_seconds: float = 0.0
     assemble_seconds: float = 0.0
     identify_seconds: float = 0.0
     dropped: int = 0
@@ -79,6 +84,7 @@ class PipelineStats:
             f"{self.packets} packets -> {self.fingerprints} fingerprints -> "
             f"{self.identified} identified ({self.cache_hits} from cache) | "
             f"{self.packets_per_second:,.0f} pkt/s, "
+            f"parse {self.parse_seconds * 1000:.1f} ms, "
             f"assembly {self.assemble_seconds * 1000:.1f} ms, "
             f"identification {self.identify_seconds * 1000:.1f} ms"
         )
@@ -197,11 +203,189 @@ class StreamingPipeline:
         completed = [ready] if ready is not None else []
         now = self.clock.now()
         if now >= self._next_eviction:
-            completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
-            self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
-            self._next_eviction = now + self.eviction_interval
+            completed.extend(self._sweep(now))
         self.stats.assemble_seconds += time.perf_counter() - start
+        return self._dispatch_at(now, completed)
 
+    def run_batched(self, batch_size: int = 256) -> PipelineStats:
+        """Consume the whole source through the columnar datapath.
+
+        Delivers what :meth:`run` delivers, in the same order and at the
+        same stream times, so the evidence ledger is byte-identical -- but
+        packets move as :class:`~repro.net.batch.PacketBatch` columns, so
+        parsing, feature extraction and distance scoring are array
+        operations instead of per-packet Python.  This is the path
+        :meth:`repro.api.GatewayHandle.run_until_idle` runs.
+        """
+        for _ in self.results_batched(batch_size):
+            pass  # results_batched() already delivered it to the callback
+        return self.stats
+
+    def results_batched(self, batch_size: int = 256) -> Iterator[IdentifiedDevice]:
+        """The columnar :meth:`results`: yields identifications as they happen.
+
+        If the consumer stops iterating early, the batch in flight is
+        completed first (its verdicts are delivered to ``on_identified``,
+        not yielded), then the pipeline is flushed as in :meth:`results`:
+        the run equals :meth:`run` over the stream cut at that batch's end.
+        """
+        started = time.perf_counter()
+        batches = iter_packet_batches(self.source, batch_size)
+        try:
+            while True:
+                # The parse stage: for frame-backed sources next() runs the
+                # struct-batched field extraction.
+                parse_start = time.perf_counter()
+                batch = next(batches, None)
+                parse_elapsed = time.perf_counter() - parse_start
+                self.stats.parse_seconds += parse_elapsed
+                if batch is None:
+                    break
+                if self.observability is not None:
+                    self.observability.observe_parse_batch(parse_elapsed)
+                deliveries = self._batch_deliveries(batch)
+                try:
+                    for identified in deliveries:
+                        yield from identified
+                finally:
+                    for _ in deliveries:
+                        pass  # early exit: finish the batch in flight
+            yield from self.finish()
+        finally:
+            # No-op after a complete run; on early exit this drains the
+            # pipeline so enforcement never silently misses a device.
+            self.finish()
+            self.stats.wall_seconds = time.perf_counter() - started
+
+    def process_batch(self, batch: "PacketBatch") -> list[IdentifiedDevice]:
+        """Feed one packet batch through every stage (columnar API).
+
+        Equivalent to :meth:`process_packet` over the batch's packets: the
+        same verdicts, delivered in the same order at the same stream times.
+        """
+        identified: list[IdentifiedDevice] = []
+        for delivered in self._batch_deliveries(batch):
+            identified.extend(delivered)
+        return identified
+
+    def _batch_deliveries(self, batch: "PacketBatch") -> Iterator[list[IdentifiedDevice]]:
+        """Run one batch, yielding each delivery as it is made.
+
+        The assembler folds the batch in windows that end at the packet
+        where an eviction sweep is due, then sweeps with the clock reading
+        the per-packet path would have had there.  Dispatch is then
+        replayed in packet order over the window's trigger packets: a
+        packet that completed fingerprints (its own and, for the sweep
+        packet, the swept ones), and a packet at which :meth:`poll
+        <repro.streaming.dispatcher.BatchDispatcher.poll>` flushes a
+        lingering batch.  At each, the clock is set to that packet's
+        reading, the fingerprints are submitted, the dispatcher is polled
+        and the verdicts are delivered -- what :meth:`process_packet` does
+        at that packet.  Every other packet's poll would be a no-op.
+        """
+        n = len(batch)
+        if n == 0:
+            return
+        self.stats.packets += n
+        assembler = self.assembler
+        assemble_start = time.perf_counter()
+        prepared = assembler.prepare_batch(batch)
+        clock_at = self._clock_readings(batch.timestamps)
+        readings = clock_at.tolist()
+        assemble_elapsed = time.perf_counter() - assemble_start
+        dispatch_elapsed = 0.0
+        position = 0
+        while position < n:
+            window_start = time.perf_counter()
+            cut = max(position, int(clock_at.searchsorted(self._next_eviction, side="left")))
+            stop = min(n, cut + 1)
+            triggers = assembler.observe_prepared(prepared, stop)
+            if cut < n:
+                triggers.extend((cut, ready) for ready in self._sweep(readings[cut]))
+            assemble_elapsed += time.perf_counter() - window_start
+
+            pending = 0
+            poll_from = position
+            while True:
+                # The next packet that does something: the next trigger, or
+                # an earlier one at which a lingering batch is flushed.
+                upcoming = triggers[pending][0] if pending < len(triggers) else stop
+                packet = self._linger_flush(clock_at, readings, poll_from, upcoming)
+                if packet == stop:
+                    break
+                completed: list[ReadyFingerprint] = []
+                while pending < len(triggers) and triggers[pending][0] == packet:
+                    completed.append(triggers[pending][1])
+                    pending += 1
+                dispatch_start = time.perf_counter()
+                delivered = self._dispatch_at(readings[packet], completed)
+                dispatch_elapsed += time.perf_counter() - dispatch_start
+                poll_from = packet + 1
+                if delivered:
+                    yield delivered
+            position = stop
+        self.clock.advance_to(readings[-1])
+        self.stats.assemble_seconds += assemble_elapsed
+        if self.observability is not None:
+            self.observability.observe_assemble_batch(assemble_elapsed)
+            self.observability.observe_score_batch(dispatch_elapsed)
+
+    def _clock_readings(self, timestamps: np.ndarray) -> np.ndarray:
+        """The clock after each packet of a batch, as :meth:`process_packet` leaves it.
+
+        :meth:`process_packet` steps the clock by ``now += t - now``, which
+        lands on ``t`` exactly unless ``t`` dwarfs ``now``.  When every step
+        is exact the readings are the running maximum of the timestamps;
+        otherwise the steps are replayed one by one.
+        """
+        start = self.clock.now()
+        readings = np.maximum.accumulate(np.maximum(timestamps, start))
+        before = np.concatenate(([start], readings[:-1]))
+        ahead = timestamps > before
+        if np.array_equal(before[ahead] + (timestamps[ahead] - before[ahead]), timestamps[ahead]):
+            return readings
+        now = start
+        stepped = []
+        for timestamp in timestamps.tolist():
+            if timestamp > now:
+                now += timestamp - now
+            stepped.append(now)
+        return np.array(stepped)
+
+    def _linger_flush(
+        self, clock_at: np.ndarray, readings: list, start: int, end: int
+    ) -> int:
+        """The first packet in ``[start, end)`` whose poll flushes, else ``end``.
+
+        ``searchsorted`` finds the deadline's neighbourhood; the poll
+        predicate itself, monotone in the clock, then confirms the packet,
+        so rounding in ``completed_at + max_linger`` cannot move the flush.
+        """
+        if start >= end:
+            return end
+        deadline = self.dispatcher.linger_deadline()
+        if deadline is None:
+            return end
+        due = self.dispatcher.linger_due
+        index = min(max(int(clock_at.searchsorted(deadline, side="left")), start), end)
+        while index > start and due(readings[index - 1]):
+            index -= 1
+        while index < end and not due(readings[index]):
+            index += 1
+        return index
+
+    def _sweep(self, now: float) -> list[ReadyFingerprint]:
+        """The idle-eviction sweep due at clock reading ``now`` (one shard)."""
+        swept = self.assembler.evict_idle(now, shard=self._eviction_shard)
+        self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
+        self._next_eviction = now + self.eviction_interval
+        return swept
+
+    def _dispatch_at(
+        self, now: float, completed: list[ReadyFingerprint]
+    ) -> list[IdentifiedDevice]:
+        """Submit, poll and deliver at clock reading ``now``, as at one packet."""
+        self.clock.advance_to(now)
         identified: list[IdentifiedDevice] = []
         for item in completed:
             self.stats.fingerprints += 1
@@ -213,85 +397,6 @@ class StreamingPipeline:
         self._deliver(identified)
         return identified
 
-    def run_batched(self, batch_size: int = 256) -> PipelineStats:
-        """Consume the whole source through the columnar datapath.
-
-        Verdict-equivalent to :meth:`run` -- each device receives the same
-        identification, built from a bitwise-identical fingerprint -- but
-        packets move as :class:`~repro.net.batch.PacketBatch` columns, so
-        parsing, feature extraction and distance scoring are array
-        operations instead of per-packet Python.  Delivery *order* across
-        devices can differ from the per-packet path (dispatcher batches
-        compose differently when fingerprints complete in bursts).
-        """
-        started = time.perf_counter()
-        batches = iter_packet_batches(self.source, batch_size)
-        while True:
-            # Time the parse stage around next(): for frame-backed sources
-            # this is where the struct-batched field extraction runs.
-            parse_start = time.perf_counter()
-            try:
-                batch = next(batches)
-            except StopIteration:
-                break
-            if self.observability is not None:
-                self.observability.observe_parse_batch(time.perf_counter() - parse_start)
-            self.process_batch(batch)
-        self.finish()
-        self.stats.wall_seconds = time.perf_counter() - started
-        return self.stats
-
-    def process_batch(self, batch: "PacketBatch") -> list[IdentifiedDevice]:
-        """Feed one packet batch through every stage (columnar API).
-
-        Emission parity with :meth:`process_packet` is kept by splitting
-        the batch at eviction boundaries: the assembler folds packets in
-        bulk up to (and including) the first packet whose timestamp
-        crosses ``_next_eviction``, then the idle sweep fires with exactly
-        the clock value the per-packet path would have used -- so sweeps
-        land between the same two packets on both paths.
-        """
-        n = len(batch)
-        if n == 0:
-            return []
-        self.stats.packets += n
-        timestamps = batch.timestamps
-        # The vectorised per-batch work runs once; each window between two
-        # eviction sweeps then walks its slice of the prepared batch.
-        prepared = self.assembler.prepare_batch(batch)
-        assemble_start = time.perf_counter()
-        completed: list[ReadyFingerprint] = []
-        position = 0
-        while position < n:
-            cut = int(timestamps.searchsorted(self._next_eviction, side="left"))
-            stop = min(n, max(cut + 1, position + 1))
-
-            end_time = float(timestamps[stop - 1])
-            if end_time > self.clock.now():
-                self.clock.advance(end_time - self.clock.now())
-            completed.extend(self.assembler.observe_prepared(prepared, stop))
-            now = self.clock.now()
-            if now >= self._next_eviction:
-                completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
-                self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
-                self._next_eviction = now + self.eviction_interval
-            position = stop
-        assemble_elapsed = time.perf_counter() - assemble_start
-        self.stats.assemble_seconds += assemble_elapsed
-        if self.observability is not None:
-            self.observability.observe_assemble_batch(assemble_elapsed)
-
-        score_start = time.perf_counter()
-        identified: list[IdentifiedDevice] = []
-        for item in completed:
-            self.stats.fingerprints += 1
-            identified.extend(self.dispatcher.submit(item))
-        identified.extend(self.dispatcher.poll(self.clock.now()))
-        if self.observability is not None:
-            self.observability.observe_score_batch(time.perf_counter() - score_start)
-        self._deliver(identified)
-        return identified
-
     def inject(self, ready: ReadyFingerprint) -> list[IdentifiedDevice]:
         """Feed one pre-assembled fingerprint straight into dispatch.
 
@@ -300,11 +405,7 @@ class StreamingPipeline:
         but keeps every downstream guarantee: batching, caching, ledger
         records and sink delivery are identical to the packet path.
         """
-        self.stats.fingerprints += 1
-        identified = self.dispatcher.submit(ready)
-        identified.extend(self.dispatcher.poll(self.clock.now()))
-        self._deliver(identified)
-        return identified
+        return self._dispatch_at(self.clock.now(), [ready])
 
     def swap_identifier(
         self, identifier: DeviceTypeIdentifier, epoch: Optional[int] = None

@@ -1,5 +1,6 @@
 """Tests for the per-device-type classifier bank."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import IdentificationError
@@ -101,3 +102,53 @@ class TestMatching:
     def test_unknown_classifier_lookup_rejected(self, trained_identifier):
         with pytest.raises(IdentificationError):
             trained_identifier.bank.classifier_of("NotADevice")
+
+
+def _per_type_scores(bank, fixed):
+    """Each type's own forest, called one by one (the unmerged reference)."""
+    positive, accepted = [], []
+    for device_type in bank.device_types:
+        scorer = bank.classifier_of(device_type).scorer
+        probabilities = scorer.predict_proba(fixed)
+        column = list(scorer.classes_).index(1)
+        positive.append(probabilities[:, column])
+        accepted.append(np.argmax(probabilities, axis=1) == column)
+    return np.stack(positive, axis=1), np.stack(accepted, axis=1)
+
+
+class TestStackedScoring:
+    def test_merged_forest_scores_bit_for_bit(self, small_dataset, trained_identifier):
+        bank = trained_identifier.bank
+        rng = np.random.default_rng(0)
+        fixed = np.stack(
+            [fingerprint.to_fixed_vector(bank.fixed_packet_count)
+             for fingerprint in small_dataset.fingerprints[:40]]
+        )
+        noisy = fixed + rng.integers(-1, 2, size=fixed.shape)
+        for matrix in (fixed, noisy, fixed[:1]):
+            scores = bank.score_batch(matrix)
+            assert bank._stacked[1] is not None
+            positive, accepted = _per_type_scores(bank, matrix)
+            assert scores.positive.tobytes() == positive.tobytes()
+            assert np.array_equal(scores.accepted, accepted)
+
+    def test_retraining_or_removing_a_type_rebuilds_the_merge(self, small_dataset):
+        registry = small_dataset.to_registry()
+        bank = ClassifierBank(n_estimators=3, random_state=0)
+        bank.train_from_registry(registry)
+        fixed = np.stack(
+            [fingerprint.to_fixed_vector(bank.fixed_packet_count)
+             for fingerprint in small_dataset.fingerprints[:10]]
+        )
+        bank.score_batch(fixed)
+        device_type = registry.device_types[0]
+        bank.train_type(
+            device_type,
+            registry.fingerprints_of(device_type),
+            registry.fingerprints_excluding(device_type),
+        )
+        positive, _ = _per_type_scores(bank, fixed)
+        assert bank.score_batch(fixed).positive.tobytes() == positive.tobytes()
+        bank.remove_type(device_type)
+        positive, _ = _per_type_scores(bank, fixed)
+        assert bank.score_batch(fixed).positive.tobytes() == positive.tobytes()

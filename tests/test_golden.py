@@ -16,9 +16,11 @@ with SHA-256 and compared against ``tests/golden/digests.json``:
 five hostile campaigns (``python -m repro.scenarios --seed 7``), which
 carries the SHA-256 of every run's ledger, device table and report.
 
-``run_until_idle`` drives the per-packet path; the ``batched_*`` digests
-repeat the run through ``StreamingPipeline.run_batched`` so the columnar
-path is pinned too.  A refactor must reproduce every digest unchanged.
+``run_until_idle`` drives the columnar path at its default batch size.
+The same capture is also run through ``StreamingPipeline.run_batched`` at
+a smaller batch size (``batched_verdicts``) and through the per-packet
+``StreamingPipeline.run`` oracle; both must reproduce the ``ledger`` and
+``verdicts`` digests.  A refactor must reproduce every digest unchanged.
 A change that alters behaviour on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
@@ -125,7 +127,14 @@ def _verdict_row(item) -> list:
     ]
 
 
-def _onboard(bundle: Path, pcap: Path, workdir: Path, batched: bool):
+#: How each run drains the capture: the facade, or a pipeline built on the
+#: facade's components driven through the columnar or per-packet path.
+RUNS = {"": "facade", "batched_": "batched", "scalar_": "scalar"}
+#: The digests committed to ``tests/golden/digests.json``.
+RECORDED = ("bundle_meta", "ledger", "verdicts", "batched_verdicts", "scenario_manifest")
+
+
+def _onboard(bundle: Path, pcap: Path, workdir: Path, mode: str):
     """Drain ``pcap`` through a gateway served from ``bundle``."""
     ledger_path = workdir / "ledger.ndjson"
     handle = build_gateway(
@@ -139,8 +148,10 @@ def _onboard(bundle: Path, pcap: Path, workdir: Path, batched: bool):
         sink(item)
 
     handle.sink = record
-    if batched:
-        StreamingPipeline(
+    if mode == "facade":
+        handle.run_until_idle(PcapReplaySource(pcap))
+    else:
+        pipeline = StreamingPipeline(
             source=PcapReplaySource(pcap),
             dispatcher=handle.dispatcher,
             assembler=handle.assembler,
@@ -148,9 +159,11 @@ def _onboard(bundle: Path, pcap: Path, workdir: Path, batched: bool):
             clock=handle.clock,
             eviction_interval=handle.config.eviction_interval,
             observability=handle.observability,
-        ).run_batched(batch_size=BATCH_SIZE)
-    else:
-        handle.run_until_idle(PcapReplaySource(pcap))
+        )
+        if mode == "batched":
+            pipeline.run_batched(batch_size=BATCH_SIZE)
+        else:
+            pipeline.run()
     handle.close()
     ledger = b"".join(part.read_bytes() for part in ledger_files(ledger_path))
     return delivered, ledger
@@ -177,15 +190,15 @@ def compute_digests(workdir: Path) -> tuple[dict, dict]:
 
     digests = {"bundle_meta": _sha256(_canonical(meta))}
     facts = {"devices": devices, "runs": {}}
-    for prefix, batched in (("", False), ("batched_", True)):
-        run_dir = workdir / f"{prefix or 'scalar_'}run"
+    for prefix, mode in RUNS.items():
+        run_dir = workdir / f"{mode}_run"
         run_dir.mkdir()
-        delivered, ledger = _onboard(bundle, pcap, run_dir, batched)
+        delivered, ledger = _onboard(bundle, pcap, run_dir, mode)
         digests[f"{prefix}ledger"] = _sha256(ledger)
         digests[f"{prefix}verdicts"] = _sha256(
             _canonical([_verdict_row(item) for item in delivered])
         )
-        facts["runs"][prefix or "scalar"] = delivered
+        facts["runs"][mode] = delivered
     digests["scenario_manifest"] = _sha256(_scenario_manifest(workdir / "scenarios"))
     return digests, facts
 
@@ -210,28 +223,26 @@ class TestGoldenDigests:
                 for score in item.result.discrimination_scores
             )
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "bundle_meta",
-            "ledger",
-            "verdicts",
-            "batched_ledger",
-            "batched_verdicts",
-            "scenario_manifest",
-        ],
-    )
+    @pytest.mark.parametrize("name", RECORDED)
     def test_digest_unchanged(self, golden_run, name):
         digests, _ = golden_run
         expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert digests[name] == expected[name]
+
+    @pytest.mark.parametrize("prefix", ["batched_", "scalar_"], ids=["batched", "scalar"])
+    def test_run_reproduces_the_facade_digests(self, golden_run, prefix):
+        digests, _ = golden_run
+        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert digests[f"{prefix}ledger"] == expected["ledger"]
+        assert digests[f"{prefix}verdicts"] == expected["verdicts"]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        recorded, _ = compute_digests(Path(scratch))
+        digests, _ = compute_digests(Path(scratch))
+    recorded = {name: digests[name] for name in RECORDED}
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {GOLDEN}\n")

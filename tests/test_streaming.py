@@ -614,6 +614,42 @@ class TestSourcesAndPipeline:
         assert {item.mac for item in delivered} == set(source.device_macs)
         assert pipeline.stats.wall_seconds > 0
 
+    def test_early_break_from_batched_results_still_delivers_all_verdicts(
+        self, trained_identifier, simulator
+    ):
+        source = SimulatedSource(
+            device_names=["Aria", "HueBridge"],
+            devices=4,
+            arrival_gap=2.0,
+            simulator=simulator,
+        )
+        delivered = []
+        pipeline = StreamingPipeline(
+            source=source,
+            dispatcher=BatchDispatcher(trained_identifier, max_batch=2),
+            on_identified=delivered.append,
+        )
+        results = pipeline.results_batched(batch_size=16)
+        next(results)
+        results.close()  # consumer walked away
+        assert {item.mac for item in delivered} == set(source.device_macs)
+        assert pipeline.stats.wall_seconds > 0
+
+    def test_batched_run_attributes_parse_time(self, tmp_path, trained_identifier, simulator):
+        path = tmp_path / "setup.pcap"
+        write_pcap(path, simulator.simulate(DEVICE_CATALOG["EdnetCam"]).packets)
+        stats = {}
+        for columnar in (False, True):
+            pipeline = StreamingPipeline(
+                source=PcapReplaySource(path), dispatcher=BatchDispatcher(trained_identifier)
+            )
+            stats[columnar] = pipeline.run_batched(batch_size=4) if columnar else pipeline.run()
+        # Only the columnar path times parsing separately (the per-packet
+        # path dissects inside its source iterator).
+        assert stats[False].parse_seconds == 0.0
+        assert 0.0 < stats[True].parse_seconds < stats[True].wall_seconds
+        assert "parse " in stats[True].summary()
+
     def test_sticky_sink_never_downgrades_an_identified_device(
         self, trained_identifier, simulator
     ):
