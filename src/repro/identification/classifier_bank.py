@@ -230,9 +230,10 @@ class ClassifierBank:
         """Score a ``(batch, d)`` fixed-vector matrix against every type.
 
         One call replaces the historical nested loop (per sample, per
-        type, per tree, per node): each classifier scores the whole batch
-        through its compiled forest, producing the ``(batch x types)``
-        probability and accept matrices in ``n_types`` vectorized calls.
+        type, per tree, per node): the ``(batch x types)`` probability and
+        accept matrices come from one descent of the merged forest when
+        every type's compiled forest has the same shape, else from one
+        vectorized call per type.  Both give the same bits.
         """
         fixed_matrix = np.atleast_2d(np.asarray(fixed_matrix, dtype=np.float64))
         types = tuple(self.device_types)

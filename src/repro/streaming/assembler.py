@@ -393,6 +393,7 @@ class ShardedFingerprintAssembler:
         idle_factor = self.idle_factor
         budget = self.packet_budget
         emissions: list[tuple[int, ReadyFingerprint]] = []
+        started: dict[MACAddress, tuple[int, dict]] = {}
         groups = prepared.groups
         group = prepared.first_group
         while group < len(groups):
@@ -457,6 +458,7 @@ class ShardedFingerprintAssembler:
                 if device is None:
                     device = _DeviceAssembler(mac=mac, last_seen=timestamp)
                     bucket[mac] = device
+                    started[mac] = (j, bucket)
                     fresh_capture = True
                 if fresh_capture:
                     # First packet of this capture inside the batch: the
@@ -497,6 +499,13 @@ class ShardedFingerprintAssembler:
                 device.absorb_chunk(matrix[pending])
             prepared.devices[group] = device
             group += 1
+        # Sweeps and flushes walk each bucket in insertion order, and the
+        # groups above ran one device after another: re-append the captures
+        # this window started in packet order, as the per-packet path did.
+        if len(started) > 1:
+            for mac, (_, bucket) in sorted(started.items(), key=lambda item: item[1][0]):
+                if mac in bucket:
+                    bucket[mac] = bucket.pop(mac)
         # Completed fingerprints come back ordered by trigger packet.
         emissions.sort(key=lambda pair: pair[0])
         return emissions

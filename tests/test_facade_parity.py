@@ -11,8 +11,9 @@ byte for byte: the evidence ledger, the order of verdicts and the
 The streams are built to reach each edge of the replay: a linger flush on
 the first and the last packet of a batch, a linger deadline whose float
 rounding disagrees with the poll predicate, an eviction sweep on a packet
-that also completes a fingerprint, ``max_batch`` fills, DROP backpressure
-and an early ``break`` out of ``stream()``.  Three seeded mutations of the
+that also completes a fingerprint, a capture restarting inside a batch
+after another device's began, ``max_batch`` fills, DROP backpressure and
+an early ``break`` out of ``stream()``.  Three seeded mutations of the
 replay must each be caught.  The stream clock must also read the same
 after a batch as after the same packets one by one, also where a step
 ``now += t - now`` rounds off ``t``.
@@ -140,6 +141,25 @@ def edge_stream(seed: int) -> list:
     return sorted(c_packets + a_packets + b_packets, key=lambda packet: packet.timestamp)
 
 
+def restart_stream(seed: int) -> list:
+    """A capture restarting inside a batch after another device's began.
+
+    Talker A reaches the 250-packet budget and starts a fresh capture just
+    after device B's first packet; a ticker C then drives the sweep that
+    finds both idle.  Per packet, B entered the assembler's bucket before
+    A's fresh capture, so the sweep completes B first.
+    """
+    simulator = SetupTrafficSimulator(seed=seed)
+    talker = simulator.simulate(DEVICE_CATALOG["HueBridge"])
+    repeated = [packet for _ in range(15) for packet in talker.packets][:260]
+    a_packets = _retimed(repeated, _mac(6, 0), 1.0, gap=0.02)
+    b_start = a_packets[249].timestamp + 0.005
+    b_trace = simulator.simulate(DEVICE_CATALOG["Aria"])
+    b_packets = _retimed(b_trace.packets, _mac(6, 1), b_start, gap=0.01)
+    c_packets = _retimed([talker.packets[0]] * 20, _mac(6, 2), 20.0, gap=0.7)
+    return sorted(a_packets + b_packets + c_packets, key=lambda packet: packet.timestamp)
+
+
 @dataclass
 class Outcome:
     ledger: bytes
@@ -231,6 +251,7 @@ STREAMS = {
     "onboarding": (onboarding_stream, {"max_batch": 4}),
     "burst": (burst_stream, {"backpressure": "drop", "queue_capacity": 4, "max_batch": 8}),
     "edge": (edge_stream, {"shards": 1, "max_linger": MAX_LINGER}),
+    "restart": (restart_stream, {"shards": 1}),
 }
 
 
@@ -268,6 +289,12 @@ class TestStreamsReachTheEdges:
         times = first_verdict_times(oracle)
         assert times[str(_mac(4, 1))] == times[str(_mac(4, 0))] == EARLY_DUE
         assert [mac for mac, _, _ in oracle.verdicts[:2]] == [str(_mac(4, 1)), str(_mac(4, 0))]
+
+
+    def test_restart_stream_sweeps_the_earlier_capture_first(self, oracles):
+        _, oracle = oracles["restart"]
+        a, b, c = (str(_mac(6, index)) for index in range(3))
+        assert [mac for mac, _, _ in oracle.verdicts] == [a, b, a, c]
 
 
 class TestColumnarMatchesPerPacket:
