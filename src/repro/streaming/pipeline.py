@@ -55,6 +55,8 @@ class PipelineStats:
     Top-level fields cover this run only, even when the dispatcher and its
     cache are shared across runs (warm start); the embedded ``assembler``
     and ``dispatcher`` stats are those components' lifetime counters.
+    ``parse_seconds`` is timed on the columnar path only; the per-packet
+    path parses inside its source iterator.
     """
 
     packets: int = 0
