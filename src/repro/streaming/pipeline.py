@@ -354,9 +354,7 @@ class StreamingPipeline:
             stepped.append(now)
         return np.array(stepped)
 
-    def _linger_flush(
-        self, clock_at: np.ndarray, readings: list, start: int, end: int
-    ) -> int:
+    def _linger_flush(self, clock_at: np.ndarray, readings: list, start: int, end: int) -> int:
         """The first packet in ``[start, end)`` whose poll flushes, else ``end``.
 
         ``searchsorted`` finds the deadline's neighbourhood; the poll
@@ -383,9 +381,7 @@ class StreamingPipeline:
         self._next_eviction = now + self.eviction_interval
         return swept
 
-    def _dispatch_at(
-        self, now: float, completed: list[ReadyFingerprint]
-    ) -> list[IdentifiedDevice]:
+    def _dispatch_at(self, now: float, completed: list[ReadyFingerprint]) -> list[IdentifiedDevice]:
         """Submit, poll and deliver at clock reading ``now``, as at one packet."""
         self.clock.advance_to(now)
         identified: list[IdentifiedDevice] = []

@@ -121,8 +121,10 @@ class TestStackedScoring:
         bank = trained_identifier.bank
         rng = np.random.default_rng(0)
         fixed = np.stack(
-            [fingerprint.to_fixed_vector(bank.fixed_packet_count)
-             for fingerprint in small_dataset.fingerprints[:40]]
+            [
+                fingerprint.to_fixed_vector(bank.fixed_packet_count)
+                for fingerprint in small_dataset.fingerprints[:40]
+            ]
         )
         noisy = fixed + rng.integers(-1, 2, size=fixed.shape)
         for matrix in (fixed, noisy, fixed[:1]):
@@ -137,8 +139,10 @@ class TestStackedScoring:
         bank = ClassifierBank(n_estimators=3, random_state=0)
         bank.train_from_registry(registry)
         fixed = np.stack(
-            [fingerprint.to_fixed_vector(bank.fixed_packet_count)
-             for fingerprint in small_dataset.fingerprints[:10]]
+            [
+                fingerprint.to_fixed_vector(bank.fixed_packet_count)
+                for fingerprint in small_dataset.fingerprints[:10]
+            ]
         )
         bank.score_batch(fixed)
         device_type = registry.device_types[0]
